@@ -63,6 +63,42 @@ std::vector<RegionRate> ComputeRegionRates(
   return out;
 }
 
+std::shared_ptr<const traffic::EsperBoltConfig> MakeEsperBoltConfig(
+    std::vector<RetrievalSetup> setups,
+    const std::vector<int>& engines_per_grouping) {
+  INSIGHT_CHECK(setups.size() == engines_per_grouping.size());
+  auto config = std::make_shared<traffic::EsperBoltConfig>();
+  std::vector<size_t> task_to_grouping;
+  for (size_t g = 0; g < setups.size(); ++g) {
+    for (int e = 0; e < engines_per_grouping[g]; ++e) {
+      config->rules_per_task.push_back(setups[g].rules);
+      task_to_grouping.push_back(g);
+    }
+  }
+  const bool any_before_send =
+      std::any_of(setups.begin(), setups.end(), [](const RetrievalSetup& setup) {
+        return setup.before_send != nullptr;
+      });
+  auto shared_setups =
+      std::make_shared<const std::vector<RetrievalSetup>>(std::move(setups));
+  config->preload = [shared_setups, task_to_grouping](cep::Engine* engine,
+                                                      int task) {
+    const auto& setup =
+        (*shared_setups)[task_to_grouping[static_cast<size_t>(task)]];
+    if (setup.preload) setup.preload(engine, task);
+  };
+  if (any_before_send) {
+    config->before_send = [shared_setups, task_to_grouping](
+                              cep::Engine* engine, int task,
+                              const dsps::Tuple& tuple) {
+      const auto& setup =
+          (*shared_setups)[task_to_grouping[static_cast<size_t>(task)]];
+      if (setup.before_send) setup.before_send(engine, task, tuple);
+    };
+  }
+  return config;
+}
+
 TrafficManagementSystem::TrafficManagementSystem(Config config)
     : config_(std::move(config)) {}
 
@@ -169,54 +205,16 @@ Result<TrafficManagementSystem::RunReport> TrafficManagementSystem::Run() {
   INSIGHT_ASSIGN_OR_RETURN(SpatialRouter router, BuildRouter(allocation));
   auto shared_router = std::make_shared<SpatialRouter>(std::move(router));
 
-  // Retrieval setup per grouping; tasks map to groupings by index range.
-  auto esper_config = std::make_shared<traffic::EsperBoltConfig>();
-  esper_config->layers = {};  // rules use area_leaf / bus_stop
-  esper_config->rules_per_task.resize(
-      static_cast<size_t>(config_.num_esper_engines));
   std::vector<RetrievalSetup> setups;
-  {
-    int task_base = 0;
-    for (size_t g = 0; g < groupings_.size(); ++g) {
-      INSIGHT_ASSIGN_OR_RETURN(
-          RetrievalSetup setup,
-          BuildRetrieval(config_.retrieval, groupings_[g].rules, &store_,
-                         config_.retrieval_options));
-      for (int e = 0; e < allocation.engines_per_grouping[g]; ++e) {
-        esper_config->rules_per_task[static_cast<size_t>(task_base + e)] =
-            setup.rules;
-      }
-      task_base += allocation.engines_per_grouping[g];
-      setups.push_back(std::move(setup));
-    }
+  for (const RuleGrouping& grouping : groupings_) {
+    INSIGHT_ASSIGN_OR_RETURN(
+        RetrievalSetup setup,
+        BuildRetrieval(config_.retrieval, grouping.rules, &store_,
+                       config_.retrieval_options));
+    setups.push_back(std::move(setup));
   }
-  // Dispatch preload / before_send to the owning grouping's setup.
-  std::vector<int> task_to_grouping(
-      static_cast<size_t>(config_.num_esper_engines), 0);
-  {
-    int task_base = 0;
-    for (size_t g = 0; g < groupings_.size(); ++g) {
-      for (int e = 0; e < allocation.engines_per_grouping[g]; ++e) {
-        task_to_grouping[static_cast<size_t>(task_base + e)] = static_cast<int>(g);
-      }
-      task_base += allocation.engines_per_grouping[g];
-    }
-  }
-  auto shared_setups = std::make_shared<std::vector<RetrievalSetup>>(
-      std::move(setups));
-  esper_config->preload = [shared_setups, task_to_grouping](cep::Engine* engine,
-                                                            int task) {
-    const auto& setup =
-        (*shared_setups)[static_cast<size_t>(task_to_grouping[static_cast<size_t>(task)])];
-    if (setup.preload) setup.preload(engine, task);
-  };
-  esper_config->before_send = [shared_setups, task_to_grouping](
-                                  cep::Engine* engine, int task,
-                                  const dsps::Tuple& tuple) {
-    const auto& setup =
-        (*shared_setups)[static_cast<size_t>(task_to_grouping[static_cast<size_t>(task)])];
-    if (setup.before_send) setup.before_send(engine, task, tuple);
-  };
+  std::shared_ptr<const traffic::EsperBoltConfig> esper_config =
+      MakeEsperBoltConfig(std::move(setups), allocation.engines_per_grouping);
 
   // Stream dataset for this run.
   traffic::TraceGenerator generator(config_.generator);

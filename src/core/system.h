@@ -35,6 +35,15 @@ void EnrichTraces(std::vector<traffic::BusTrace>* traces,
 std::vector<RegionRate> ComputeRegionRates(
     const std::vector<traffic::BusTrace>& traces, bool by_bus_stop);
 
+/// The Esper bolt's configuration for one run. Tasks go to the groupings in
+/// order, engines_per_grouping[g] tasks to grouping g (the size of `setups`);
+/// each task gets its grouping's rules, preload and before_send. before_send
+/// is installed only when some setup has one, because EsperBolt falls back
+/// from its columnar ExecuteBatch path to per-tuple Execute whenever it is.
+std::shared_ptr<const traffic::EsperBoltConfig> MakeEsperBoltConfig(
+    std::vector<RetrievalSetup> setups,
+    const std::vector<int>& engines_per_grouping);
+
 /// The end-to-end system of Figure 3 / Figure 8: workload generation,
 /// spatial indexing, batch bootstrap, rule partitioning/allocation, the
 /// Storm-like topology with one Esper engine per Esper-bolt task, and the
@@ -59,8 +68,11 @@ class TrafficManagementSystem {
 
     /// Topology parallelism (the Esper bolt gets num_esper_engines tasks).
     int reader_executors = 1;
-    int preprocess_executors = 2;
-    int tracker_executors = 2;
+    /// Values above 1 shuffle the enriched stream across executors, which
+    /// reorders each location's input to the count-window rules, so the
+    /// detections no longer match a sequential evaluation.
+    int preprocess_executors = 1;
+    int tracker_executors = 1;
     int splitter_executors = 1;
     int storer_executors = 1;
     int num_workers = 1;

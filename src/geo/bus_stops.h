@@ -1,6 +1,7 @@
 #ifndef INSIGHT_GEO_BUS_STOPS_H_
 #define INSIGHT_GEO_BUS_STOPS_H_
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -55,23 +56,49 @@ class BusStopIndex {
   explicit BusStopIndex(const Options& options) : options_(options) {}
 
   /// Runs DENCLUE + angle splitting over the reports. Replaces any previous
-  /// content. Returns the number of canonical stops.
+  /// content. Stops are numbered 0..n-1 in stops() order. Returns the number
+  /// of canonical stops.
   size_t Build(const std::vector<StopReport>& reports);
 
   /// Closest canonical stop for a new observation; prefers subclusters that
-  /// have seen the same (line, direction), falling back to the nearest by
-  /// angle. Returns -1 when nothing is within max_assign_distance.
+  /// have seen the same (line, direction), falling back to the nearest stop
+  /// of any line. Equal distances go to the lowest stop id. Returns -1 when
+  /// nothing is within max_assign_distance (and for non-finite positions).
   int64_t Locate(const LatLon& position, int line_id, bool direction) const;
 
   const std::vector<BusStop>& stops() const { return stops_; }
   Result<BusStop> GetStop(int64_t id) const;
 
  private:
+  /// One axis of the lookup grid, in degrees: cell k holds values in
+  /// [origin + k*width, origin + (k+1)*width). An infinite width puts every
+  /// finite value in cell 0.
+  struct GridAxis {
+    double origin = 0.0;
+    double width = 0.0;
+    int cells = 1;
+    /// Cell of `v` as a floored double, so that values far outside the grid
+    /// never reach an integer conversion.
+    double Cell(double v) const { return std::floor((v - origin) / width); }
+  };
+
+  /// Buckets stops_ into a lat/lon grid whose cells are at least
+  /// max_assign_distance wide, so the 3x3 cells around a query hold every
+  /// stop Locate() could return.
+  void BuildGrid();
+
   Options options_;
   std::vector<BusStop> stops_;
-  // Projection origin captured at Build() so Locate() maps queries the same way.
-  bool has_projection_ = false;
-  LatLon projection_origin_;
+  GridAxis lat_axis_;
+  GridAxis lon_axis_;
+  /// Query longitudes are wrapped to within 180 degrees of this before
+  /// bucketing (haversine is periodic in the longitude difference).
+  double lon_center_ = 0.0;
+  /// CSR buckets: cell (row, col) = row * lon_axis_.cells + col holds the
+  /// stop indexes cell_stops_[cell_start_[cell] .. cell_start_[cell + 1]),
+  /// in ascending order.
+  std::vector<uint32_t> cell_start_;
+  std::vector<uint32_t> cell_stops_;
 };
 
 }  // namespace geo

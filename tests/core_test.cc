@@ -9,6 +9,7 @@
 #include "core/partitioning.h"
 #include "core/retrieval.h"
 #include "core/rule_template.h"
+#include "core/system.h"
 #include "traffic/bolts.h"
 
 namespace insight {
@@ -688,6 +689,57 @@ TEST_F(RetrievalTest, JoinWithDatabaseQueriesPerTuple) {
   // Same key again: queried again (per-tuple join) but not re-sent.
   setup->before_send(&engine, 0, tuple);
   EXPECT_EQ((*stmt)->RetainedEvents(), 1u);
+}
+
+TEST_F(RetrievalTest, EsperBoltConfigInstallsBeforeSendOnlyWhenASetupHasOne) {
+  // The threshold stream has no per-tuple hook: the config must not install
+  // one, or EsperBolt would leave its columnar path.
+  std::vector<RetrievalSetup> streams;
+  for (int g = 0; g < 2; ++g) {
+    auto setup =
+        BuildRetrieval(ThresholdRetrieval::kThresholdStream, rules_, &store_, {});
+    ASSERT_TRUE(setup.ok());
+    ASSERT_FALSE(static_cast<bool>(setup->before_send));
+    streams.push_back(std::move(*setup));
+  }
+  auto config = MakeEsperBoltConfig(std::move(streams), {2, 1});
+  EXPECT_FALSE(static_cast<bool>(config->before_send));
+  ASSERT_TRUE(static_cast<bool>(config->preload));
+  EXPECT_EQ(config->rules_per_task.size(), 3u);
+
+  // One grouping with a hook: tasks dispatch to their own grouping's setup.
+  std::vector<std::pair<int, int>> preloads;      // (grouping, task)
+  std::vector<std::pair<int, int>> before_sends;  // (grouping, task)
+  std::vector<RetrievalSetup> setups(3);
+  for (int g = 0; g < 3; ++g) {
+    setups[static_cast<size_t>(g)].rules = {{"rule" + std::to_string(g), "epl"}};
+    setups[static_cast<size_t>(g)].preload = [g, &preloads](cep::Engine*, int task) {
+      preloads.emplace_back(g, task);
+    };
+  }
+  setups[1].before_send = [&before_sends](cep::Engine*, int task,
+                                          const dsps::Tuple&) {
+    before_sends.emplace_back(1, task);
+  };
+  config = MakeEsperBoltConfig(std::move(setups), {1, 2, 1});
+  ASSERT_TRUE(static_cast<bool>(config->before_send));
+  ASSERT_EQ(config->rules_per_task.size(), 4u);
+  const std::vector<std::string> rule_of_task = {"rule0", "rule1", "rule1", "rule2"};
+  const std::vector<int> grouping_of_task = {0, 1, 1, 2};
+  dsps::Tuple tuple;
+  for (int task = 0; task < 4; ++task) {
+    ASSERT_EQ(config->rules_per_task[static_cast<size_t>(task)].size(), 1u);
+    EXPECT_EQ(config->rules_per_task[static_cast<size_t>(task)][0].first,
+              rule_of_task[static_cast<size_t>(task)]);
+    config->preload(nullptr, task);
+    config->before_send(nullptr, task, tuple);
+  }
+  std::vector<std::pair<int, int>> expected_preloads;
+  for (int task = 0; task < 4; ++task) {
+    expected_preloads.emplace_back(grouping_of_task[static_cast<size_t>(task)], task);
+  }
+  EXPECT_EQ(preloads, expected_preloads);
+  EXPECT_EQ(before_sends, (std::vector<std::pair<int, int>>{{1, 1}, {1, 2}}));
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "common/rng.h"
 #include "geo/bus_stops.h"
 #include "geo/denclue.h"
 #include "geo/latlon.h"
 #include "geo/quadtree.h"
+#include "traffic/generator.h"
 
 namespace insight {
 namespace geo {
@@ -274,7 +278,252 @@ TEST(BusStopIndexTest, EmptyIndex) {
   BusStopIndex index;
   EXPECT_EQ(index.Build({}), 0u);
   EXPECT_EQ(index.Locate({53.35, -6.26}, 1, true), -1);
-  EXPECT_FALSE(index.GetStop(0).ok());
+  for (int64_t id : {int64_t{-1}, int64_t{0}, int64_t{1}}) {
+    auto stop = index.GetStop(id);
+    ASSERT_FALSE(stop.ok());
+    EXPECT_EQ(stop.status().code(), StatusCode::kNotFound);
+  }
+}
+
+TEST(BusStopIndexTest, GetStopByIdAndOutOfRange) {
+  traffic::TraceGenerator::Options options;
+  options.seed = 1;
+  traffic::TraceGenerator generator(options);
+  BusStopIndex index;
+  const size_t n = index.Build(generator.CollectStopReports(2000));
+  ASSERT_GT(n, 0u);
+  for (size_t i = 0; i < n; ++i) {
+    auto stop = index.GetStop(static_cast<int64_t>(i));
+    ASSERT_TRUE(stop.ok());
+    EXPECT_EQ(stop->id, static_cast<int64_t>(i));
+    EXPECT_EQ(stop->center, index.stops()[i].center);
+  }
+  for (int64_t id : {static_cast<int64_t>(n), static_cast<int64_t>(n) + 1000,
+                     int64_t{-1}, std::numeric_limits<int64_t>::min(),
+                     std::numeric_limits<int64_t>::max()}) {
+    auto stop = index.GetStop(id);
+    ASSERT_FALSE(stop.ok()) << id;
+    EXPECT_EQ(stop.status().code(), StatusCode::kNotFound);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// BusStopIndex::Locate against a scan of every stop
+// ---------------------------------------------------------------------------
+
+/// The reference: one haversine per stop in id order, nearest known
+/// (line, direction) first, then nearest of any line, strict `<`.
+int64_t ScanLocate(const BusStopIndex& index, double max_distance,
+                   const LatLon& position, int line_id, bool direction) {
+  const std::pair<int, bool> key{line_id, direction};
+  double best_known = std::numeric_limits<double>::infinity();
+  int64_t best_known_id = -1;
+  double best_any = std::numeric_limits<double>::infinity();
+  int64_t best_any_id = -1;
+  for (const BusStop& stop : index.stops()) {
+    double d = HaversineMeters(position, stop.center);
+    if (d < best_any) {
+      best_any = d;
+      best_any_id = stop.id;
+    }
+    if (std::binary_search(stop.lines.begin(), stop.lines.end(), key) &&
+        d < best_known) {
+      best_known = d;
+      best_known_id = stop.id;
+    }
+  }
+  if (best_known_id >= 0 && best_known <= max_distance) return best_known_id;
+  if (best_any <= max_distance) return best_any_id;
+  return -1;
+}
+
+/// Counts the queries on which Locate and the scan disagree.
+class LocateOracle {
+ public:
+  LocateOracle(const BusStopIndex& index, double max_distance)
+      : index_(index), max_distance_(max_distance) {}
+
+  void Check(const LatLon& position, int line_id, bool direction) {
+    ++queries_;
+    int64_t got = index_.Locate(position, line_id, direction);
+    int64_t want = ScanLocate(index_, max_distance_, position, line_id, direction);
+    if (got >= 0) ++assigned_;
+    if (got != want) {
+      ++mismatches_;
+      ADD_FAILURE() << "Locate(" << position.lat << ", " << position.lon << ", "
+                    << line_id << ", " << direction << ") = " << got
+                    << ", scan = " << want;
+    }
+  }
+
+  size_t queries() const { return queries_; }
+  size_t assigned() const { return assigned_; }
+  size_t mismatches() const { return mismatches_; }
+
+ private:
+  const BusStopIndex& index_;
+  double max_distance_;
+  size_t queries_ = 0;
+  size_t assigned_ = 0;
+  size_t mismatches_ = 0;
+};
+
+BusStopIndex IndexForSeed(uint64_t seed, double max_distance) {
+  traffic::TraceGenerator::Options options;
+  options.seed = seed;
+  traffic::TraceGenerator generator(options);
+  BusStopIndex::Options index_options;
+  index_options.max_assign_distance = max_distance;
+  BusStopIndex index(index_options);
+  index.Build(generator.CollectStopReports(2000));
+  return index;
+}
+
+std::vector<traffic::BusTrace> TracesForSeed(uint64_t seed, size_t count) {
+  traffic::TraceGenerator::Options options;
+  options.seed = seed + 100;
+  traffic::TraceGenerator generator(options);
+  return generator.GenerateAll(count);
+}
+
+constexpr double kDefaultDistance = 250.0;
+
+TEST(BusStopLocateTest, MatchesScanOnTracesAndRingProbes) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    BusStopIndex index = IndexForSeed(seed, kDefaultDistance);
+    ASSERT_GT(index.stops().size(), 100u);
+    LocateOracle oracle(index, kDefaultDistance);
+    for (const traffic::BusTrace& trace : TracesForSeed(seed, 10000)) {
+      oracle.Check(trace.position, trace.line_id, trace.direction);
+    }
+    // Probes on a ring straddling max_assign_distance around every stop.
+    Rng rng(seed);
+    for (const BusStop& stop : index.stops()) {
+      LocalProjection proj(stop.center);
+      for (int probe = 0; probe < 4; ++probe) {
+        double radius = rng.Uniform(240.0, 260.0);
+        double angle = rng.Uniform(0.0, 2 * 3.14159265358979323846);
+        const auto& line = stop.lines[rng.NextUint(stop.lines.size())];
+        oracle.Check(proj.FromXY(radius * std::cos(angle), radius * std::sin(angle)),
+                     line.first, rng.NextUint(2) == 1);
+      }
+    }
+    EXPECT_EQ(oracle.mismatches(), 0u);
+    // Both outcomes occur, so the comparison is not vacuous.
+    EXPECT_GT(oracle.assigned(), oracle.queries() / 4);
+    EXPECT_LT(oracle.assigned(), oracle.queries());
+  }
+}
+
+TEST(BusStopLocateTest, WrappedCoordinatesMatchScan) {
+  // Haversine is periodic in the longitude difference, and (180 - lat,
+  // lon + 180) is the same point of the sphere; Locate buckets the wrapped
+  // point but measures the position as given, like the scan.
+  BusStopIndex index = IndexForSeed(1, kDefaultDistance);
+  LocateOracle oracle(index, kDefaultDistance);
+  std::vector<traffic::BusTrace> traces = TracesForSeed(1, 3000);
+  for (const traffic::BusTrace& t : traces) {
+    const LatLon p = t.position;
+    for (const LatLon& q : {LatLon{p.lat, p.lon + 360.0}, LatLon{p.lat, p.lon - 360.0},
+                            LatLon{p.lat, p.lon + 720.0},
+                            LatLon{p.lat + 360.0, p.lon},
+                            LatLon{180.0 - p.lat, p.lon + 180.0},
+                            LatLon{-180.0 - p.lat, p.lon - 180.0}}) {
+      oracle.Check(q, t.line_id, t.direction);
+    }
+  }
+  EXPECT_EQ(oracle.mismatches(), 0u);
+  EXPECT_GT(oracle.assigned(), oracle.queries() / 4);
+}
+
+TEST(BusStopLocateTest, NonFinitePositionsFindNothing) {
+  BusStopIndex index = IndexForSeed(2, kDefaultDistance);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const LatLon& p : {LatLon{nan, -6.26}, LatLon{53.35, nan}, LatLon{nan, nan},
+                          LatLon{inf, -6.26}, LatLon{-inf, -6.26},
+                          LatLon{53.35, inf}, LatLon{53.35, -inf},
+                          LatLon{inf, -inf}}) {
+    EXPECT_EQ(index.Locate(p, 1, true), -1);
+    EXPECT_EQ(ScanLocate(index, kDefaultDistance, p, 1, true), -1);
+  }
+  // Finite but far outside any cell range.
+  for (const LatLon& p : {LatLon{1e300, -6.26}, LatLon{53.35, -1e300},
+                          LatLon{-1e300, 1e300}}) {
+    EXPECT_EQ(index.Locate(p, 1, true), ScanLocate(index, kDefaultDistance, p, 1, true));
+  }
+}
+
+TEST(BusStopLocateTest, ZeroAndInfiniteDistanceMatchScan) {
+  for (double max_distance : {0.0, std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(max_distance);
+    BusStopIndex index = IndexForSeed(3, max_distance);
+    LocateOracle oracle(index, max_distance);
+    for (const traffic::BusTrace& trace : TracesForSeed(3, 2000)) {
+      oracle.Check(trace.position, trace.line_id, trace.direction);
+    }
+    for (const BusStop& stop : index.stops()) {
+      oracle.Check(stop.center, stop.lines.front().first, stop.lines.front().second);
+      oracle.Check(stop.center, -1, true);
+    }
+    EXPECT_EQ(oracle.mismatches(), 0u);
+    // Every stop center finds itself at distance 0; an infinite distance
+    // assigns every query.
+    EXPECT_GE(oracle.assigned(), 2 * index.stops().size());
+    if (std::isinf(max_distance)) {
+      EXPECT_EQ(oracle.assigned(), oracle.queries());
+    }
+  }
+}
+
+TEST(BusStopLocateTest, IdenticalCentersGoToLowestId) {
+  // Same position, opposite entry angles: two stops with one center.
+  std::vector<StopReport> reports;
+  for (int i = 0; i < 20; ++i) {
+    reports.push_back({{53.35, -6.26}, 1, i % 2 == 0, i % 2 == 0 ? 90.0 : 270.0});
+  }
+  BusStopIndex index;
+  ASSERT_EQ(index.Build(reports), 2u);
+  const std::vector<BusStop>& stops = index.stops();
+  ASSERT_EQ(stops[0].center, stops[1].center);
+  LocateOracle oracle(index, kDefaultDistance);
+  LocalProjection proj(stops[0].center);
+  for (double meters : {0.0, 10.0, 249.0}) {
+    const LatLon p = proj.FromXY(meters, 0.0);
+    // An unknown line ties on distance: the lower id wins.
+    EXPECT_EQ(index.Locate(p, 9, true), 0);
+    oracle.Check(p, 9, true);
+    // A known (line, direction) picks its own stop.
+    for (bool direction : {false, true}) {
+      const int64_t got = index.Locate(p, 1, direction);
+      ASSERT_GE(got, 0);
+      EXPECT_TRUE(std::binary_search(stops[static_cast<size_t>(got)].lines.begin(),
+                                     stops[static_cast<size_t>(got)].lines.end(),
+                                     std::make_pair(1, direction)));
+      oracle.Check(p, 1, direction);
+    }
+  }
+  EXPECT_EQ(oracle.mismatches(), 0u);
+}
+
+TEST(BusStopLocateTest, SingleStop) {
+  std::vector<StopReport> reports;
+  for (int i = 0; i < 10; ++i) reports.push_back({{53.35, -6.26}, 4, true, 45.0});
+  BusStopIndex index;
+  ASSERT_EQ(index.Build(reports), 1u);
+  LocateOracle oracle(index, kDefaultDistance);
+  LocalProjection proj(index.stops()[0].center);
+  Rng rng(5);
+  for (int i = 0; i < 400; ++i) {
+    double radius = rng.Uniform(0.0, 400.0);
+    double angle = rng.Uniform(0.0, 2 * 3.14159265358979323846);
+    oracle.Check(proj.FromXY(radius * std::cos(angle), radius * std::sin(angle)),
+                 i % 3 == 0 ? 4 : 5, i % 2 == 0);
+  }
+  EXPECT_EQ(oracle.mismatches(), 0u);
+  EXPECT_EQ(index.Locate(index.stops()[0].center, 5, false), 0);
+  EXPECT_EQ(index.Locate({53.42, -6.05}, 4, true), -1);
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/system.h"
 
 namespace insight {
@@ -62,6 +66,43 @@ TEST(IntegrationTest, FullPipelineDetectsEventsWithThresholdStream) {
             4);
   EXPECT_GE(report->engines_per_grouping[0], 1);
   EXPECT_GE(report->engines_per_grouping[1], 1);
+}
+
+/// The events table as a sorted list of printed rows.
+std::vector<std::string> DetectionRows(TrafficManagementSystem* system) {
+  std::vector<std::string> rows;
+  auto table = system->store()->SelectAll(traffic::EventsStorerBolt::kTableName);
+  if (!table.ok()) return rows;
+  for (const storage::RowValues& row : table->rows) {
+    std::string line;
+    for (const auto& value : row) line += value.ToString() + "|";
+    rows.push_back(std::move(line));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(IntegrationTest, DefaultConfigDetectionsRepeatAcrossRuns) {
+  // With the default executor counts, each location's stream reaches its
+  // count windows in generation order, so fresh systems with one seed
+  // detect the same events on every run.
+  const auto config = SmallConfig();
+  std::vector<std::string> first;
+  for (int run = 0; run < 3; ++run) {
+    TrafficManagementSystem system(config);
+    ASSERT_TRUE(system.Initialize().ok());
+    auto report = system.Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    std::vector<std::string> rows = DetectionRows(&system);
+    EXPECT_EQ(rows.size(), report->detections);
+    if (run == 0) {
+      ASSERT_GT(rows.size(), 0u);
+      first = std::move(rows);
+    } else {
+      EXPECT_TRUE(rows == first) << "run " << run << ": " << rows.size()
+                                 << " rows against " << first.size();
+    }
+  }
 }
 
 TEST(IntegrationTest, SecondRunRepartitionsWithObservedRates) {
